@@ -1,15 +1,14 @@
-// Asynchronous request-id-multiplexed RPC client: the wire-v2 counterpart of
-// NetClient's blocking connection pool.
+// Asynchronous request-id-multiplexed RPC client: the proxy's one transport
+// to the storage tier (wire v2 and later).
 //
-// Where NetClient pins one blocked thread to one connection per in-flight
-// RPC (overlap capped at pool_size), AsyncNetClient separates submission
-// from completion: Submit() encodes the request, queues it on one of a few
-// multiplexed connections, and returns immediately with a future; a single
-// epoll event-loop thread (src/net/event_loop.h) moves all the bytes and
-// pairs each returning frame with its pending request by id — responses may
-// arrive in any order. Hundreds of RPCs can be outstanding with zero
+// Instead of pinning one blocked thread to one connection per in-flight
+// RPC, AsyncNetClient separates submission from completion: Submit()
+// encodes the request, queues it on one of a few multiplexed connections,
+// and returns immediately with a future; a single epoll event-loop thread
+// (src/net/event_loop.h) moves all the bytes and pairs each returning frame
+// with its pending request by id — responses may arrive in any order. Hundreds of RPCs can be outstanding with zero
 // dedicated threads, which is what lets the epoch pipeline overlap whole
-// batches across shards instead of serializing on pool checkout.
+// batches across shards instead of serializing on connection checkout.
 //
 // Failure model: a connection loss fails every RPC pending on it *fast*
 // (completions fire with Unavailable the moment the loop observes the

@@ -4,109 +4,6 @@
 
 namespace obladi {
 
-NetClient::NetClient(RemoteStoreOptions options) : options_(std::move(options)) {
-  conns_.resize(options_.pool_size == 0 ? 1 : options_.pool_size);
-}
-
-StatusOr<std::shared_ptr<NetClient>> NetClient::Connect(RemoteStoreOptions options) {
-  auto client = std::make_shared<NetClient>(std::move(options));
-  NetRequest ping;
-  ping.type = MsgType::kPing;
-  auto resp = client->Call(ping);
-  if (!resp.ok()) {
-    return resp.status();
-  }
-  Status st = resp->ToStatus();
-  if (!st.ok()) {
-    return st;
-  }
-  return client;
-}
-
-size_t NetClient::AcquireConn() {
-  std::unique_lock<std::mutex> lk(pool_mu_);
-  while (true) {
-    for (size_t i = 0; i < conns_.size(); ++i) {
-      if (!conns_[i].busy) {
-        conns_[i].busy = true;
-        return i;
-      }
-    }
-    pool_cv_.wait(lk);
-  }
-}
-
-void NetClient::ReleaseConn(size_t index) {
-  {
-    std::lock_guard<std::mutex> lk(pool_mu_);
-    conns_[index].busy = false;
-  }
-  pool_cv_.notify_one();
-}
-
-StatusOr<NetResponse> NetClient::Exchange(size_t index, const NetRequest& req,
-                                          const Bytes& payload) {
-  // The slot is marked busy, so only this thread touches conns_[index].sock.
-  Conn& conn = conns_[index];
-  if (!conn.sock.valid()) {
-    auto sock = TcpSocket::Connect(options_.host, options_.port);
-    if (!sock.ok()) {
-      return sock.status();
-    }
-    conn.sock = std::move(*sock);
-    if (conn.ever_connected) {
-      stats_.reconnects.fetch_add(1, std::memory_order_relaxed);
-    }
-    conn.ever_connected = true;
-  }
-  Status sent = conn.sock.SendFrame(payload, options_.max_frame_bytes);
-  if (!sent.ok()) {
-    conn.sock.Close();
-    return sent;
-  }
-  stats_.bytes_sent.fetch_add(payload.size() + 4, std::memory_order_relaxed);
-  auto frame = conn.sock.RecvFrame(options_.max_frame_bytes);
-  if (!frame.ok()) {
-    conn.sock.Close();
-    return frame.status();
-  }
-  stats_.bytes_received.fetch_add(frame->size() + 4, std::memory_order_relaxed);
-  NetResponse resp;
-  Status decoded = DecodeResponse(*frame, req.type, &resp);
-  if (!decoded.ok()) {
-    conn.sock.Close();  // stream can no longer be trusted
-    return decoded;
-  }
-  if (resp.id != req.id) {
-    conn.sock.Close();
-    return Status::Internal("response id mismatch (connection desynced)");
-  }
-  return resp;
-}
-
-StatusOr<NetResponse> NetClient::Call(NetRequest req) {
-  req.id = next_id_.fetch_add(1, std::memory_order_relaxed);
-  Bytes payload = EncodeRequest(req);
-  size_t index = AcquireConn();
-  auto resp = Exchange(index, req, payload);
-  if (!resp.ok() && resp.status().code() == StatusCode::kUnavailable &&
-      req.type != MsgType::kLogAppend && req.type != MsgType::kLogAppendSync) {
-    // The connection may simply be stale (server restarted); dial fresh and
-    // retry once. Every request type is idempotent (reads, versioned bucket
-    // writes, truncations, sync) EXCEPT the log appends (fused or not): the
-    // server may have appended the record and died before responding, and a
-    // blind resend would duplicate it in the WAL. Appends are therefore
-    // at-most-once; a failed append surfaces Unavailable and the recovery
-    // protocol decides.
-    resp = Exchange(index, req, payload);
-  }
-  ReleaseConn(index);
-  if (resp.ok()) {
-    stats_.round_trips.fetch_add(1, std::memory_order_relaxed);
-  }
-  return resp;
-}
-
 namespace {
 
 // Converts an RPC-level failure or a server-reported error to Status.

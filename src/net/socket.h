@@ -1,12 +1,12 @@
 // Thin RAII wrappers over POSIX TCP sockets, with the wire protocol's
 // length-prefixed framing (send/recv one frame = u32 length + payload).
 //
-// Blocking I/O throughout: a frame send/recv occupies its calling thread,
-// which is exactly the concurrency model the rest of the system assumes (the
-// ORAM's io_threads pool and the client connection pool provide parallelism
-// by issuing from many threads). EINTR is retried; SIGPIPE is suppressed via
+// Blocking I/O throughout: a frame send/recv occupies its calling thread
+// (the storage server's per-connection readers and the fault relay; the
+// proxy's AsyncNetClient only dials through here and then hands the socket
+// to its event loop). EINTR is retried; SIGPIPE is suppressed via
 // MSG_NOSIGNAL. Shutdown() from another thread unblocks a blocked recv,
-// which is how the server and client pools tear down cleanly.
+// which is how the server tears down cleanly.
 #ifndef OBLADI_SRC_NET_SOCKET_H_
 #define OBLADI_SRC_NET_SOCKET_H_
 

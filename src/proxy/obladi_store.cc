@@ -66,9 +66,7 @@ ObladiStore::ObladiStore(ObladiConfig cfg, std::shared_ptr<BucketStore> store,
   if (cfg_.num_shards == 0) {
     cfg_.num_shards = 1;
   }
-  if (cfg_.pipeline_depth == 0 || !cfg_.pipeline_epochs) {
-    // The serial baseline drains each retirement inline — depth is
-    // meaningless there and must read as 1 everywhere it is exported.
+  if (cfg_.pipeline_depth == 0) {
     cfg_.pipeline_depth = 1;
   }
   // The shards' retiring-buffer window moves in lockstep with the proxy's
@@ -602,7 +600,7 @@ void ObladiStore::InstallPlanHook(bool rendezvous) {
   if (!recovery_) {
     return;
   }
-  if (rendezvous && cfg_.combine_batch_plan_logs) {
+  if (rendezvous) {
     oram_->SetBatchPlannedHook([this](uint32_t shard, const BatchPlan& plan) {
       return SubmitPlanForLogging(shard, plan);
     });
@@ -681,14 +679,10 @@ Status ObladiStore::DispatchBatch(EpochBatch batch, size_t index) {
   // Admission backpressure: the stash budget caps in-flight blocks across
   // the retirement pipeline; dispatching more reads would grow it further.
   WaitForStashBudget();
-  // Pipelined epochs: advance the (workload-independent) write schedule
-  // before planning, so the triggered eviction read phases join this
-  // batch's dispatch wave instead of bunching into a storage wave at the
-  // epoch close. The serial baseline keeps the pre-pipelining behavior
-  // (schedule moves with the write batch at the close).
-  if (cfg_.pipeline_epochs) {
-    oram_->AdvanceWriteSchedule(WriteAdvanceForBatch(index));
-  }
+  // Advance the (workload-independent) write schedule before planning, so
+  // the triggered eviction read phases join this batch's dispatch wave
+  // instead of bunching into a storage wave at the epoch close.
+  oram_->AdvanceWriteSchedule(WriteAdvanceForBatch(index));
   std::vector<BlockId> ids;
   ids.reserve(batch.fetches.size());
   for (const PendingFetch& fetch : batch.fetches) {
@@ -711,10 +705,8 @@ Status ObladiStore::DispatchBatch(EpochBatch batch, size_t index) {
   };
   // The sharded set routes the ids and pads every shard's sub-batch to the
   // fixed per-shard quota, so the adversary-visible shape is constant.
-  // Early answers only reorder completion in time — the serial baseline
-  // keeps strict batch-granularity completion.
-  auto results =
-      cfg_.pipeline_epochs ? oram_->ReadBatch(ids, early) : oram_->ReadBatch(ids);
+  // Early answers only reorder completion in time.
+  auto results = oram_->ReadBatch(ids, early);
   if (!results.ok()) {
     // Slots already answered early genuinely succeeded; only the rest see
     // the batch failure.
@@ -840,13 +832,9 @@ Status ObladiStore::CloseEpochNow() {
     }
     writes.emplace_back(*id, EncodeValue(value));
   }
-  if (cfg_.pipeline_epochs) {
-    // The schedule already advanced with the batches; the close only
-    // deposits the decided values — no storage wave.
-    OBLADI_RETURN_IF_ERROR(oram_->ApplyWriteValues(writes));
-  } else {
-    OBLADI_RETURN_IF_ERROR(oram_->WriteBatch(writes));
-  }
+  // The schedule already advanced with the batches; the close only
+  // deposits the decided values — no storage wave.
+  OBLADI_RETURN_IF_ERROR(oram_->ApplyWriteValues(writes));
 
   // Depth-D pipeline: wait for a free retirement slot — at most
   // pipeline_depth closed epochs may be in flight, capping live state at
@@ -1122,7 +1110,7 @@ void ObladiStore::PacerLoop() {
   // (network-bound) epoch change into the cadence — effective epoch length
   // becomes R*Δ + flush time, leaking flush duration into the dispatch
   // schedule. The deadline only re-anchors when the loop has fallen behind
-  // (a serial epoch change longer than Δ), so a keeping-up pacer is
+  // (an epoch close longer than Δ), so a keeping-up pacer is
   // drift-free and its timing is workload- and latency-independent.
   uint64_t deadline = NowMicros() + cfg_.batch_interval_us;
   while (pacer_running_.load()) {
@@ -1138,9 +1126,9 @@ void ObladiStore::PacerLoop() {
     if (!pacer_running_.load()) {
       return;
     }
-    // Pipelined: close only — retirement rides the background stage while
-    // the next epoch's batches dispatch on schedule. Serial baseline: drain.
-    Status st = cfg_.pipeline_epochs ? CloseEpochNow() : FinishEpochNow();
+    // Close only — retirement rides the background stage while the next
+    // epoch's batches dispatch on schedule.
+    Status st = CloseEpochNow();
     if (!st.ok()) {
       FailPacerFatal();
       return;
@@ -1219,17 +1207,12 @@ Status ObladiStore::CompleteCrashEpoch(const std::vector<size_t>& replayed_per_s
   // then commit it.
   for (uint32_t s = 0; s < cfg_.num_shards; ++s) {
     for (size_t b = replayed_per_shard[s]; b < cfg_.read_batches_per_epoch; ++b) {
-      if (cfg_.pipeline_epochs) {
-        oram_->AdvanceShardWriteSchedule(s, WriteAdvanceForBatch(b));
-      }
+      oram_->AdvanceShardWriteSchedule(s, WriteAdvanceForBatch(b));
       OBLADI_RETURN_IF_ERROR(oram_->ReadShardDummyBatch(s));
     }
   }
-  if (!cfg_.pipeline_epochs) {
-    OBLADI_RETURN_IF_ERROR(oram_->WriteBatch({}));
-  }
-  // Pipelined: the (empty) write batch's schedule movement rode the batches
-  // above (and the replayed ones), so there is nothing left to apply.
+  // The (empty) write batch's schedule movement rode the batches above (and
+  // the replayed ones), so there is nothing left to apply.
   OBLADI_RETURN_IF_ERROR(oram_->FinishEpoch());
   OBLADI_RETURN_IF_ERROR(recovery_->LogEpochCommit(oram_->shard_ptrs()));
   return oram_->TruncateStaleVersions();
@@ -1305,13 +1288,10 @@ Status ObladiStore::RecoverFromCrash(RecoveryBreakdown* breakdown) {
     EpochId group_epoch = i < plans.size() ? plans[i].plan.epoch : 0;
     for (; i < plans.size() && plans[i].plan.epoch == group_epoch; ++i) {
       const RecoveryUnit::PendingPlan& pending = plans[i];
-      // Mirror dispatch: under pipelining the write schedule advanced with
-      // each batch, so the replayed physical trace matches the pre-crash
-      // one exactly.
-      if (cfg_.pipeline_epochs) {
-        oram_->AdvanceShardWriteSchedule(pending.shard,
-                                         WriteAdvanceForBatch(pending.plan.batch_index));
-      }
+      // Mirror dispatch: the write schedule advanced with each batch, so
+      // the replayed physical trace matches the pre-crash one exactly.
+      oram_->AdvanceShardWriteSchedule(pending.shard,
+                                       WriteAdvanceForBatch(pending.plan.batch_index));
       auto result = oram_->ReplayShardBatch(pending.shard, pending.plan);
       if (!result.ok()) {
         return result.status();

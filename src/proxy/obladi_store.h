@@ -33,10 +33,11 @@
 //   close (CloseEpochNow, serialized with batch dispatch):
 //     dispatch remaining read batches -> EndEpoch (commit admission; the
 //     final writes are re-installed as next-epoch base versions) ->
-//     ORAM WriteBatch -> wait for a free retirement slot (fewer than
-//     pipeline_depth epochs in flight) -> BeginRetire (submit the write-back
-//     without waiting) -> capture the delta checkpoint payload -> open the
-//     next epoch.
+//     deposit the write batch's values (its eviction schedule already
+//     advanced with the read batches) -> wait for a free retirement slot
+//     (fewer than pipeline_depth epochs in flight) -> BeginRetire (submit
+//     the write-back without waiting) -> capture the delta checkpoint
+//     payload -> open the next epoch.
 //
 //   retirement (one background worker draining a FIFO of closed epochs):
 //     await write-back durability -> append + sync the captured checkpoint,
@@ -112,17 +113,12 @@ struct ObladiConfig {
   size_t write_batch_size = 32;       // b_write (global, across shards)
   uint64_t batch_interval_us = 2000;  // Δ (timed mode)
   bool timed_mode = false;
-  // Overlap epoch N's retirement with epoch N+1's execution (see file
-  // comment). When false the pacer drains each retirement inline — the
-  // serial-epoch baseline bench_epoch_pipeline measures against. Manual-mode
-  // FinishEpochNow always drains, so tests see serial semantics either way.
-  bool pipeline_epochs = true;
   // Epoch pipeline depth D: how many closed epochs may be retiring
-  // concurrently (1 = the original close-waits-for-previous behavior; the
-  // compatibility baseline). Depth D bounds live state to D+1 epochs'
-  // working sets and lets the close step proceed while up to D write-backs
-  // ride the network. Clamped to 1 when pipeline_epochs is false (the serial
-  // baseline drains every retirement inline anyway).
+  // concurrently (see file comment). At depth 1 an epoch's close waits for
+  // the previous epoch's retirement; depth D bounds live state to D+1
+  // epochs' working sets and lets the close step proceed while up to D
+  // write-backs ride the network. 0 is clamped to 1. Manual-mode
+  // FinishEpochNow always drains, so tests see serial semantics at any depth.
   size_t pipeline_depth = 2;
   // Explicit stash budget for the pipeline: while the shards' stash +
   // retiring blocks exceed this, batch dispatch stalls until an in-flight
@@ -130,11 +126,6 @@ struct ObladiConfig {
   // (the depth cap alone bounds memory). Distinct from the per-shard
   // RingOramConfig::max_stash_blocks serialization pad.
   size_t max_stash_blocks = 0;
-  // Log one combined plan record per global batch (K shard sub-plans, one
-  // append + one sync) instead of K separate records. False reproduces the
-  // pre-pipelining log layout, where K serialized log round trips sit on
-  // every batch's critical path (the bench's serial baseline).
-  bool combine_batch_plan_logs = true;
   RecoveryConfig recovery;
   // Graceful degradation: how long an epoch close may wait on the previous
   // retirement before giving up (0 = wait forever, the historical

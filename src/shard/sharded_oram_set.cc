@@ -203,28 +203,6 @@ Status ShardedOramSet::ReadShardDummyBatch(uint32_t shard) {
   return result.ok() ? Status::Ok() : result.status();
 }
 
-Status ShardedOramSet::WriteBatch(const std::vector<std::pair<BlockId, Bytes>>& writes) {
-  const uint32_t k = layout_.num_shards;
-  std::vector<std::vector<std::pair<BlockId, Bytes>>> sub(k);
-  for (const auto& [id, value] : writes) {
-    uint32_t s = router_.ShardOf(id);
-    if (sub[s].size() >= options_.write_quota) {
-      return Status::ResourceExhausted("shard write batch quota exceeded");
-    }
-    sub[s].emplace_back(router_.LocalId(id), value);
-  }
-  // Every shard executes a write batch padded to write_quota — shards with
-  // few (or no) real writes still advance their eviction schedules by the
-  // same amount, keeping the per-shard schedule workload independent.
-  return RunOnShards([&](uint32_t s) {
-    OBLADI_RETURN_IF_ERROR(shards_[s]->WriteBatch(sub[s], options_.write_quota));
-    if (watchdog_ != nullptr) {
-      watchdog_->ObserveShardAdvance(s, options_.write_quota);
-    }
-    return Status::Ok();
-  });
-}
-
 void ShardedOramSet::AdvanceWriteSchedule(size_t per_shard_bumps) {
   Status st = RunOnShards([&](uint32_t s) {
     shards_[s]->AdvanceWriteSchedule(per_shard_bumps);

@@ -107,22 +107,20 @@ class ShardedOramSet {
   // shard must observe its full complement of R sub-batches per epoch).
   Status ReadShardDummyBatch(uint32_t shard);
 
-  // Dummiless buffered writes, keyed by global BlockId. Every shard's batch
-  // is padded to write_quota; more than write_quota real writes on one shard
-  // is a ResourceExhausted error (the MVTSO epoch-commit admission keeps
-  // this from happening in the proxy).
-  Status WriteBatch(const std::vector<std::pair<BlockId, Bytes>>& writes);
-
-  // Split form (pipelined proxy): advance every shard's eviction schedule by
-  // `per_shard_bumps` — the write batch's schedule movement is a fixed,
-  // value-independent count, so the proxy spreads it across the epoch's
-  // paced read batches (the triggered read phases dispatch with the next
-  // batch wave) and the close applies only the values. Per epoch the
-  // advances must total write_quota per shard. The single-shard form backs
-  // crash-recovery replay, which re-advances per replayed batch.
+  // The dummiless write batch, in two parts. First advance every shard's
+  // eviction schedule by `per_shard_bumps` — the write batch's schedule
+  // movement is a fixed, value-independent count, so the proxy spreads it
+  // across the epoch's paced read batches (the triggered read phases
+  // dispatch with the next batch wave). Per epoch the advances must total
+  // write_quota per shard, so shards with few (or no) real writes still
+  // advance by the same amount. The single-shard form backs crash-recovery
+  // replay, which re-advances per replayed batch.
   void AdvanceWriteSchedule(size_t per_shard_bumps);
   void AdvanceShardWriteSchedule(uint32_t shard, size_t bumps);
-  // Deposit decided values with no schedule movement (quota-checked).
+  // Then deposit the decided values, keyed by global BlockId, with no
+  // schedule movement. More than write_quota real writes on one shard is a
+  // ResourceExhausted error (the MVTSO epoch-commit admission keeps this
+  // from happening in the proxy).
   Status ApplyWriteValues(const std::vector<std::pair<BlockId, Bytes>>& writes);
 
   // Flush all shards' deferred write phases concurrently; advances every

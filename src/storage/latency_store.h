@@ -68,7 +68,7 @@ struct LatencyProfile {
 //
 // bytes_sent/bytes_received are charged at the *wire* layer — whole frames
 // including headers and length prefixes, from the client's perspective — by
-// the real transports (AsyncNetClient, NetClient) and, as a model, by the
+// the real transport (AsyncNetClient) and, as a model, by the
 // latency decorators. They are what the bandwidth-capped link meters and
 // what bench_xor_read reports, so bandwidth claims are measured on the same
 // counter the real socket path charges.

@@ -349,10 +349,9 @@ struct LoopbackEnv {
   std::shared_ptr<MemoryLogStore> log;
   std::unique_ptr<StorageServer> server;
 
-  RemoteStoreOptions ClientOptions(size_t pool = 4) const {
+  RemoteStoreOptions ClientOptions() const {
     RemoteStoreOptions opts;
     opts.port = server->port();
-    opts.pool_size = pool;
     return opts;
   }
 };
@@ -510,46 +509,8 @@ TEST(StorageServerTest, FusedAppendSyncIsOneDurableRoundTrip) {
   EXPECT_EQ(StringFromBytes(all->back()), "plan-record");
 }
 
-TEST(StorageServerTest, PooledConnectionsOverlapRequests) {
-  // The legacy blocking NetClient: put a 20 ms latency decorator *behind*
-  // the server, then issue 8 concurrent unary reads. A pool of 8 should
-  // finish in ~1 latency, a pool of 1 in ~8 — its overlap is capped by pool
-  // slots, which is exactly what the async client removes (next test).
-  auto slow = std::make_shared<MemoryBucketStore>(16, 2);
-  ASSERT_TRUE(slow->WriteBucket(0, 0, std::vector<Bytes>(2, Bytes(8, 1))).ok());
-  LatencyProfile profile{"test", 20000, 20000, 0};
-  auto env = StartLoopback(16, 2, std::make_shared<LatencyBucketStore>(slow, profile));
-
-  auto timed_reads = [&](size_t pool) {
-    auto client = NetClient::Connect(env.ClientOptions(pool));
-    EXPECT_TRUE(client.ok());
-    auto start = std::chrono::steady_clock::now();
-    std::vector<std::thread> threads;
-    for (int i = 0; i < 8; ++i) {
-      threads.emplace_back([&] {
-        NetRequest req;
-        req.type = MsgType::kReadSlots;
-        req.reads = {{0, 0, 0}};
-        auto resp = (*client)->Call(std::move(req));
-        EXPECT_TRUE(resp.ok() && resp->ToStatus().ok());
-      });
-    }
-    for (auto& t : threads) {
-      t.join();
-    }
-    return std::chrono::duration_cast<std::chrono::milliseconds>(
-               std::chrono::steady_clock::now() - start)
-        .count();
-  };
-
-  auto serial_ms = timed_reads(1);
-  auto pooled_ms = timed_reads(8);
-  EXPECT_GE(serial_ms, 8 * 20);
-  EXPECT_LT(pooled_ms, serial_ms / 2) << "pooled connections did not overlap";
-}
-
 TEST(AsyncClientTest, OneConnectionOverlapsConcurrentRequests) {
-  // Same 20 ms storage node, but ONE multiplexed connection and zero extra
+  // A 20 ms storage node behind ONE multiplexed connection and zero extra
   // client threads: 8 submissions overlap because the server dispatches
   // concurrent frames from a single connection to its worker pool.
   auto slow = std::make_shared<MemoryBucketStore>(16, 2);
@@ -1190,7 +1151,6 @@ TEST(StorageServerTest, ClientSurvivesServerRestart) {
 
   RemoteStoreOptions opts;
   opts.port = port;
-  opts.pool_size = 2;
   auto store = RemoteBucketStore::Connect(opts);
   ASSERT_TRUE(store.ok());
   ASSERT_TRUE((*store)->WriteBucket(1, 0, std::vector<Bytes>(2, Bytes(8, 0x77))).ok());
@@ -1204,7 +1164,7 @@ TEST(StorageServerTest, ClientSurvivesServerRestart) {
   EXPECT_EQ(while_down.status().code(), StatusCode::kUnavailable);
 
   // Restart on the same port over the same (durable) backing state: the
-  // client's stale pooled connections redial transparently and the
+  // client's stale connection redials transparently and the
   // shadow-paged data is still there.
   StorageServerOptions server_opts;
   server_opts.port = port;
@@ -1247,7 +1207,6 @@ RemoteProxyEnv MakeRemoteProxy(uint32_t shards) {
 
   RemoteStoreOptions opts;
   opts.port = env.server->port();
-  opts.pool_size = 8;
   auto remote_buckets = RemoteBucketStore::Connect(opts);
   auto remote_log = RemoteLogStore::Connect(opts);
   EXPECT_TRUE(remote_buckets.ok() && remote_log.ok());
@@ -1331,7 +1290,6 @@ TEST(PartitionedShardTest, PartitionFailsClientsRetriablyThenHealsAndRecovers) {
   config.write_batch_size = 16;
   config.batch_interval_us = 300;
   config.timed_mode = true;
-  config.pipeline_epochs = true;
   config.recovery.enabled = true;
   config.recovery.full_checkpoint_interval = 4;
   config.oram_options.io_threads = 8;

@@ -4,6 +4,7 @@
 
 #include "src/common/rng.h"
 #include "src/crypto/encryptor.h"
+#include "src/oram/block_codec.h"
 #include "src/oram/path.h"
 #include "src/oram/ring_oram.h"
 #include "src/storage/memory_store.h"
@@ -403,6 +404,22 @@ TEST(RingOramSecurityTest, CacheAllStashAblationSkipsPhysicalReads) {
   ASSERT_TRUE(env2.oram->Initialize(SequentialValues(128)).ok());
   ASSERT_TRUE(env2.oram->ReadBatch({1, 2, 3}).ok());
   EXPECT_EQ(env2.oram->stats().stash_cache_skips, 0u);
+}
+
+TEST(BlockCodecTest, EncodeDecodeRoundTripsIncludingEmptyPayload) {
+  RingOramConfig config = RingOramConfig::ForCapacity(32, 4, 16);
+  BlockCodec codec(config, BytesFromString("codec-key"));
+  for (const Bytes& payload : {Bytes{}, BytesFromString("abc"), Bytes(40, 0x5a)}) {
+    Bytes plaintext = codec.EncodeBlock(7, 3, payload);
+    ASSERT_EQ(plaintext.size(), codec.plaintext_size());
+    DecodedBlock block = codec.DecodeBlock(plaintext);
+    EXPECT_EQ(block.id, 7u);
+    EXPECT_EQ(block.leaf, 3u);
+    // The payload comes back zero-padded (or truncated) to the configured size.
+    Bytes want = payload;
+    want.resize(config.block_payload_size, 0);
+    EXPECT_EQ(block.payload, want);
+  }
 }
 
 TEST(RingOramTest, ReadBatchErrorsOnUnknownBlock) {

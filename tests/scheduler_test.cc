@@ -135,14 +135,9 @@ TEST(SchedulerTest, WireRequestMultisetPerEpochIsDepthInvariant) {
   }
 }
 
-TEST(SchedulerTest, DepthZeroAndSerialModeClampToDepthOne) {
+TEST(SchedulerTest, DepthZeroClampsToDepthOne) {
   auto env = MakeSchedEnv(/*pipeline_depth=*/0, /*recovery=*/false);
   EXPECT_EQ(env.proxy->config().pipeline_depth, 1u);
-
-  auto serial = MakeSchedEnv(/*pipeline_depth=*/3, /*recovery=*/false);
-  serial.config.pipeline_epochs = false;
-  serial.proxy = std::make_unique<ObladiStore>(serial.config, serial.store, serial.log);
-  EXPECT_EQ(serial.proxy->config().pipeline_depth, 1u);
 }
 
 TEST(SchedulerTest, EarlyAnswersDeliverCorrectValues) {

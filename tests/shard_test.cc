@@ -128,7 +128,8 @@ TEST(ShardedOramSetTest, ReadWriteRoundTripAcrossShards) {
   // Writes route to their shards; read back after the epoch flush.
   std::vector<std::pair<BlockId, Bytes>> writes = {
       {0, BytesFromString("w0")}, {7, BytesFromString("w7")}, {42, BytesFromString("w42")}};
-  ASSERT_TRUE(env.set->WriteBatch(writes).ok());
+  env.set->AdvanceWriteSchedule(4);
+  ASSERT_TRUE(env.set->ApplyWriteValues(writes).ok());
   ASSERT_TRUE(env.set->FinishEpoch().ok());
 
   auto back = env.set->ReadBatch({0, 7, 42, 9});

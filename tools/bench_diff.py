@@ -3,7 +3,7 @@
 
 Walks both documents in lockstep and reports every numeric leaf whose
 relative drift exceeds the threshold, keying array elements by their
-identifying fields (shards/pipelined/pipeline_depth/outstanding/pool/...)
+identifying fields (shards/pipeline_depth/outstanding/...)
 rather than position, so reordering or appending cells is not "drift".
 
 Throughput REGRESSIONS gate: a throughput-like leaf (txn_per_sec,
@@ -25,8 +25,7 @@ import os
 import sys
 
 # Fields that identify an array element (used to match cells across files).
-KEY_FIELDS = ("shards", "pipelined", "pipeline_depth", "outstanding", "pool",
-              "backend", "mode", "name")
+KEY_FIELDS = ("shards", "pipeline_depth", "outstanding", "backend", "mode", "name")
 
 # Leaves that are configuration, not measurement: drift here means the bench
 # definition changed and the baseline must be regenerated, so say that

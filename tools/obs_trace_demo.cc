@@ -84,8 +84,6 @@ int Run(uint32_t shards, double seconds, const std::string& out_path,
   config.write_batch_size = 8;
   config.batch_interval_us = 2500;
   config.timed_mode = true;
-  config.pipeline_epochs = true;
-  config.combine_batch_plan_logs = true;
   config.recovery.enabled = true;  // the checkpoint append is part of the tail
   config.oram_options.io_threads = 8;
   config.obs.trace = true;
